@@ -8,7 +8,8 @@ from which a claimer then picks one at random.
 
 :class:`LpmTrie` is the routing-side sibling: a longest-prefix-match
 map in which prefixes may overlap (aggregates coexist with their more
-specifics, exactly as in a RIB). It backs the G-RIB lookups of
+specifics, exactly as in a RIB), stored as one dict per prefix length
+rather than as a bit trie. It backs the G-RIB lookups of
 :class:`~repro.bgp.rib.LocRib` and the network-wide origin index of
 ``BgpNetwork.root_domain_of``, replacing the linear scans that
 dominated large-topology runs.
@@ -16,9 +17,9 @@ dominated large-topology runs.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.addressing.ipv4 import ADDRESS_BITS, bit_at
+from repro.addressing.ipv4 import ADDRESS_BITS, mask_bits
 from repro.addressing.prefix import Prefix
 
 
@@ -212,32 +213,15 @@ class PrefixTrie:
         return iter(self.allocations())
 
 
-#: Internal marker distinguishing "no value stored" from a stored None.
+#: Netmask of each prefix length, indexed by length (0..32).
+_MASKS = tuple(mask_bits(length) for length in range(ADDRESS_BITS + 1))
+
+#: Probe default distinguishing "no entry" from a stored None.
 _MISSING = object()
 
 
-class _LpmNode:
-    __slots__ = ("low", "high", "value")
-
-    def __init__(self) -> None:
-        self.low: Optional["_LpmNode"] = None
-        self.high: Optional["_LpmNode"] = None
-        self.value: Any = _MISSING
-
-    def __getstate__(self):
-        # _MISSING is an identity sentinel: pickled directly it would
-        # restore as a *different* object(), turning every empty node
-        # into a phantom stored value after checkpoint restore. Encode
-        # emptiness as None and wrap real values in a 1-tuple.
-        return (
-            self.low,
-            self.high,
-            None if self.value is _MISSING else (self.value,),
-        )
-
-    def __setstate__(self, state) -> None:
-        self.low, self.high, wrapped = state
-        self.value = _MISSING if wrapped is None else wrapped[0]
+def _entry_order(item: Tuple[Prefix, Any]) -> Tuple[int, int]:
+    return (item[0].network, item[0].length)
 
 
 class LpmTrie:
@@ -246,101 +230,70 @@ class LpmTrie:
     Unlike :class:`PrefixTrie` (an allocation tracker that forbids
     overlap), an ``LpmTrie`` stores one value per prefix and lets
     covering aggregates coexist with their more specifics;
-    :meth:`lookup` walks an address's bit path and returns the value
-    of the most specific stored prefix covering it — the classic
-    routing-table operation, O(32) instead of O(table size).
+    :meth:`lookup` returns the value of the most specific stored
+    prefix covering an address — the classic routing-table operation.
+
+    Entries live in one dict per stored prefix length, mapping the
+    network address to the value. A lookup masks the address to each
+    stored length, longest first, and stops at the first hit: one dict
+    probe per distinct length present (a handful in a G-RIB), instead
+    of a bit walk or a scan over the whole table.
     """
 
-    __slots__ = ("_root", "_count")
+    __slots__ = ("_tables", "_lengths")
 
     def __init__(self) -> None:
-        self._root = _LpmNode()
-        self._count = 0
+        #: prefix length -> {network: value}; never holds an empty dict.
+        self._tables: Dict[int, Dict[int, Any]] = {}
+        #: The stored lengths, longest first (the lookup probe order).
+        self._lengths: Tuple[int, ...] = ()
+
+    def _reindex(self) -> None:
+        self._lengths = tuple(sorted(self._tables, reverse=True))
 
     def __len__(self) -> int:
-        return self._count
+        return sum(map(len, self._tables.values()))
 
     def __contains__(self, prefix: Prefix) -> bool:
-        node = self._node_for(prefix)
-        return node is not None and node.value is not _MISSING
-
-    def _node_for(self, prefix: Prefix) -> Optional[_LpmNode]:
-        node: Optional[_LpmNode] = self._root
-        for position in range(prefix.length):
-            if node is None:
-                return None
-            node = node.high if prefix.bit(position) else node.low
-        return node
+        table = self._tables.get(prefix.length)
+        return table is not None and prefix.network in table
 
     def insert(self, prefix: Prefix, value: Any) -> None:
         """Store ``value`` under ``prefix`` (replacing any previous
         value for the exact same prefix)."""
-        node = self._root
-        for position in range(prefix.length):
-            if prefix.bit(position):
-                if node.high is None:
-                    node.high = _LpmNode()
-                node = node.high
-            else:
-                if node.low is None:
-                    node.low = _LpmNode()
-                node = node.low
-        if node.value is _MISSING:
-            self._count += 1
-        node.value = value
+        table = self._tables.get(prefix.length)
+        if table is None:
+            table = self._tables[prefix.length] = {}
+            self._reindex()
+        table[prefix.network] = value
 
     def get(self, prefix: Prefix) -> Any:
         """The value stored under exactly ``prefix`` (None if absent)."""
-        node = self._node_for(prefix)
-        if node is None or node.value is _MISSING:
-            return None
-        return node.value
+        table = self._tables.get(prefix.length)
+        return None if table is None else table.get(prefix.network)
 
     def lookup(self, address: int) -> Any:
         """Longest-match lookup: the value of the most specific stored
         prefix covering ``address`` (None when nothing covers it)."""
-        node: Optional[_LpmNode] = self._root
-        best = self._root.value
-        for position in range(ADDRESS_BITS):
-            assert node is not None
-            node = node.high if bit_at(address, position) else node.low
-            if node is None:
-                break
-            if node.value is not _MISSING:
-                best = node.value
-        return None if best is _MISSING else best
+        tables = self._tables
+        for length in self._lengths:
+            value = tables[length].get(address & _MASKS[length], _MISSING)
+            if value is not _MISSING:
+                return value
+        return None
 
     def remove(self, prefix: Prefix) -> bool:
         """Delete the entry stored under exactly ``prefix``.
 
         Returns True when an entry was removed, False when the prefix
-        held no value. Empty branches left behind are pruned so lookup
-        walks stay short after heavy insert/delete churn.
+        held no value.
         """
-        path: List[_LpmNode] = [self._root]
-        node: Optional[_LpmNode] = self._root
-        for position in range(prefix.length):
-            node = node.high if prefix.bit(position) else node.low
-            if node is None:
-                return False
-            path.append(node)
-        if node.value is _MISSING:
+        table = self._tables.get(prefix.length)
+        if table is None or table.pop(prefix.network, _MISSING) is _MISSING:
             return False
-        node.value = _MISSING
-        self._count -= 1
-        for index in range(len(path) - 1, 0, -1):
-            child = path[index]
-            if (
-                child.value is not _MISSING
-                or child.low is not None
-                or child.high is not None
-            ):
-                break
-            parent = path[index - 1]
-            if parent.low is child:
-                parent.low = None
-            else:
-                parent.high = None
+        if not table:
+            del self._tables[prefix.length]
+            self._reindex()
         return True
 
     def covered(self, prefix: Prefix) -> List[Tuple[Prefix, Any]]:
@@ -352,39 +305,26 @@ class LpmTrie:
         entry stored under ``prefix`` itself. Sorted by (network,
         length) so iteration order is deterministic.
         """
-        node = self._node_for(prefix)
-        if node is None:
-            return []
-        found: List[Tuple[Prefix, Any]] = []
-        self._collect_entries(node, prefix.network, prefix.length, found)
-        found.sort(key=lambda item: (item[0].network, item[0].length))
+        low, high = prefix.network, prefix.last
+        found = [
+            (Prefix(network, length), value)
+            for length in self._lengths
+            if length >= prefix.length
+            for network, value in self._tables[length].items()
+            if low <= network <= high
+        ]
+        found.sort(key=_entry_order)
         return found
 
     def items(self) -> List[Tuple[Prefix, Any]]:
         """All stored (prefix, value) pairs, sorted deterministically."""
-        found: List[Tuple[Prefix, Any]] = []
-        self._collect_entries(self._root, 0, 0, found)
-        found.sort(key=lambda item: (item[0].network, item[0].length))
+        found = [
+            (Prefix(network, length), value)
+            for length, table in self._tables.items()
+            for network, value in table.items()
+        ]
+        found.sort(key=_entry_order)
         return found
-
-    def _collect_entries(
-        self,
-        node: _LpmNode,
-        network: int,
-        length: int,
-        out: List[Tuple[Prefix, Any]],
-    ) -> None:
-        if node.value is not _MISSING:
-            out.append((Prefix(network, length), node.value))
-        if node.low is not None:
-            self._collect_entries(node.low, network, length + 1, out)
-        if node.high is not None:
-            self._collect_entries(
-                node.high,
-                network | (1 << (31 - length)),
-                length + 1,
-                out,
-            )
 
 
 def _subtree_has_allocation(node: _Node) -> bool:

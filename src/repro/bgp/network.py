@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.addressing.prefix import Prefix
 from repro.addressing.trie import LpmTrie
@@ -32,7 +32,7 @@ from repro.bgp.policy import (
     GaoRexfordPolicy,
     preference_for,
 )
-from repro.bgp.rib import diff_type_entries
+from repro.bgp.rib import LocRib, diff_type_entries
 from repro.bgp.routes import Route, RouteType
 from repro.bgp.speaker import BgpSpeaker
 from repro.topology.domain import BorderRouter, Domain
@@ -691,29 +691,24 @@ class BgpNetwork:
 
     def rib_digest(self) -> str:
         """SHA-256 over every live Loc-RIB in canonical order — the
-        fingerprint the equivalence tests compare across engines."""
+        fingerprint the equivalence tests compare across engines.
+
+        Each Loc-RIB caches its encoded lines until its next mutation,
+        so a digest re-encodes only the tables that changed since the
+        last one; :meth:`rib_digest_uncached` is the reference path.
+        """
+        return self._rib_digest(LocRib.digest_lines)
+
+    def rib_digest_uncached(self) -> str:
+        """The digest rebuilt from every table, bypassing the Loc-RIB
+        caches — the reference the cached path must always match."""
+        return self._rib_digest(LocRib.digest_lines_uncached)
+
+    def _rib_digest(self, encode: Callable[[LocRib], bytes]) -> str:
         digest = hashlib.sha256()
         for router in self._ordered_routers():
-            speaker = self.speakers[router]
             digest.update(
                 f"@{router.domain.domain_id}/{router.name}".encode()
             )
-            for route in speaker.loc_rib.routes():
-                hop = route.next_hop
-                hop_label = (
-                    f"{hop.domain.domain_id}/{hop.name}" if hop else "-"
-                )
-                digest.update(
-                    "|".join(
-                        (
-                            str(route.prefix),
-                            route.route_type.value,
-                            hop_label,
-                            ",".join(map(str, route.as_path)),
-                            str(route.local_pref),
-                            str(route.from_internal),
-                            str(route.learned_from),
-                        )
-                    ).encode()
-                )
+            digest.update(encode(self.speakers[router].loc_rib))
         return digest.hexdigest()

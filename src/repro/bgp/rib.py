@@ -9,7 +9,7 @@ lookup.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.addressing.prefix import Prefix
 from repro.addressing.trie import LpmTrie
@@ -51,6 +51,37 @@ def diff_type_entries(
     return deltas
 
 
+def _canonical_order(routes: Iterable[Route]) -> List[Route]:
+    """``routes`` sorted by (prefix, type value): the order every
+    Loc-RIB listing and digest uses."""
+    return sorted(
+        routes,
+        key=lambda r: (r.prefix.network, r.prefix.length, r.route_type.value),
+    )
+
+
+def _digest_line(route: Route) -> str:
+    hop = route.next_hop
+    hop_label = f"{hop.domain.domain_id}/{hop.name}" if hop else "-"
+    return "|".join(
+        (
+            str(route.prefix),
+            route.route_type.value,
+            hop_label,
+            ",".join(map(str, route.as_path)),
+            str(route.local_pref),
+            str(route.from_internal),
+            str(route.learned_from),
+        )
+    )
+
+
+def _encode_routes(routes: Iterable[Route]) -> bytes:
+    """The ``rib_digest`` encoding of ``routes``: one line per route
+    in the given order, concatenated without separators."""
+    return "".join(map(_digest_line, routes)).encode()
+
+
 class AdjRibIn:
     """Routes received from one peer, keyed by (type, prefix)."""
 
@@ -85,26 +116,43 @@ class AdjRibIn:
 class LocRib:
     """Selected best routes, one per (type, prefix).
 
-    Longest-match lookups go through a per-type :class:`LpmTrie` index
-    built lazily on first use and invalidated by any mutation, so the
-    steady state (many lookups between decision rounds) pays O(32) per
-    lookup instead of a scan over the whole table.
+    Three derived views are cached until the next mutation
+    (:meth:`install`, :meth:`remove`, a changed :meth:`replace` or
+    :meth:`clear`): the per-type :class:`LpmTrie` longest-match
+    indexes, the canonical :meth:`routes` order, and the
+    :meth:`digest_lines` encoding. The steady state — many lookups and
+    exports between decision rounds — pays for each once per change.
+    Checkpoints carry the table alone; a restore starts cold.
     """
 
     def __init__(self) -> None:
         self._routes: Dict[Tuple[RouteType, Prefix], Route] = {}
         self._lpm: Dict[RouteType, LpmTrie] = {}
+        self._ordered: Optional[List[Route]] = None
+        self._digest: Optional[bytes] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {"_routes": self._routes}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self._routes = state["_routes"]
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        self._lpm = {}
+        self._ordered = None
+        self._digest = None
 
     def install(self, route: Route) -> None:
         """Install the winning route for its (type, prefix)."""
         self._routes[route.key()] = route
-        self._lpm.pop(route.route_type, None)
+        self._invalidate()
 
     def remove(self, route_type: RouteType, prefix: Prefix) -> bool:
         """Drop the entry; True if one was present."""
         if self._routes.pop((route_type, prefix), None) is None:
             return False
-        self._lpm.pop(route_type, None)
+        self._invalidate()
         return True
 
     def replace(self, routes: Dict[Tuple[RouteType, Prefix], Route]) -> bool:
@@ -121,13 +169,14 @@ class LocRib:
         Because the swap installs a fresh dict, the old one can be
         handed back without copying — the zero-cost capture the G-RIB
         delta stream rides on: no snapshots on the (overwhelmingly
-        common) unchanged recompute, no copy on the changed one.
+        common) unchanged recompute, no copy on the changed one. An
+        unchanged recompute keeps the cached views too.
         """
         if routes == self._routes:
             return None
         old = self._routes
         self._routes = dict(routes)
-        self._lpm.clear()
+        self._invalidate()
         return old
 
     def get(self, route_type: RouteType, prefix: Prefix) -> Optional[Route]:
@@ -136,13 +185,21 @@ class LocRib:
 
     def routes(self, route_type: Optional[RouteType] = None) -> List[Route]:
         """All routes, optionally filtered by type, in canonical
-        (prefix, type) order — independent of insertion history."""
-        found = [
+        (prefix, type) order — independent of insertion history.
+        Always a fresh list the caller may mutate."""
+        if route_type is None:
+            return list(self._canonical())
+        return [
             route
-            for route in self._routes.values()
-            if route_type is None or route.route_type is route_type
+            for route in self._canonical()
+            if route.route_type is route_type
         ]
-        return sorted(found, key=lambda r: (r.prefix, r.route_type.value))
+
+    def _canonical(self) -> List[Route]:
+        """The cached canonical route list (never handed out)."""
+        if self._ordered is None:
+            self._ordered = _canonical_order(self._routes.values())
+        return self._ordered
 
     def group_routes(self) -> List[Route]:
         """The G-RIB: all group routes, sorted by prefix."""
@@ -170,7 +227,19 @@ class LocRib:
     def clear(self) -> None:
         """Drop everything (used when recomputing from scratch)."""
         self._routes.clear()
-        self._lpm.clear()
+        self._invalidate()
+
+    def digest_lines(self) -> bytes:
+        """The table's ``rib_digest`` payload: :func:`_encode_routes`
+        over the canonical order, cached until the next mutation."""
+        if self._digest is None:
+            self._digest = _encode_routes(self._canonical())
+        return self._digest
+
+    def digest_lines_uncached(self) -> bytes:
+        """:meth:`digest_lines` rebuilt from the table, bypassing every
+        cached view — the reference the cached path must match."""
+        return _encode_routes(_canonical_order(self._routes.values()))
 
     def snapshot(self) -> Dict[Tuple[RouteType, Prefix], Route]:
         """A copy of the table (used by convergence checks)."""

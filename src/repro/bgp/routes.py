@@ -17,8 +17,13 @@ from repro.addressing.prefix import Prefix
 from repro.topology.domain import BorderRouter
 
 
-class RouteType(Enum):
-    """Logical routing-table view a route belongs to."""
+class RouteType(str, Enum):
+    """Logical routing-table view a route belongs to.
+
+    The ``str`` mix-in gives members the C-level ``str`` hash and
+    equality — they key every (type, prefix) RIB table. ``.value``,
+    ``str()``, ``repr()`` and pickling are those of a plain Enum.
+    """
 
     UNICAST = "unicast"
     MRIB = "mrib"

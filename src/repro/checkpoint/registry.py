@@ -63,13 +63,14 @@ SNAPSHOT_REGISTRY: Dict[str, FrozenSet[str]] = {
         "_length",
         "_hash",
     }),
-    # LpmTrie nodes encode the _MISSING identity sentinel explicitly
-    # (a raw pickle would restore it as a fresh object(), turning
-    # empty nodes into phantom values).
-    "repro.addressing.trie:_LpmNode": frozenset({
-        "low",
-        "high",
-        "value",
+    # LocRib's __getstate__ carries the route table alone; the three
+    # derived views (LPM indexes, canonical route list, digest bytes)
+    # are caches that __setstate__ resets, so a restore rebuilds them.
+    "repro.bgp.rib:LocRib": frozenset({
+        "_routes",
+        "_lpm",
+        "_ordered",
+        "_digest",
     }),
     # The topology identity classes reconstruct via __reduce__ (hash
     # attributes first, remaining state second).

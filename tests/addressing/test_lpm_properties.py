@@ -142,8 +142,8 @@ class TestInsertLookupProperties:
 class TestSeededChurn:
     def test_random_churn_against_reference(self):
         """Long seeded insert/remove/lookup/covered interleavings —
-        exercises branch pruning after heavy churn, which short
-        hypothesis examples rarely reach."""
+        exercises lengths emptying and refilling under heavy churn,
+        which short hypothesis examples rarely reach."""
         for seed in range(5):
             rng = random.Random(seed)
             trie, oracle = LpmTrie(), Oracle()
@@ -188,6 +188,126 @@ class TestSeededChurn:
         assert len(trie) == 0
         assert trie.items() == []
         assert trie.covered(Prefix(0xE0000000, 4)) == []
-        # The root survives a drain: the trie is still usable.
+        # A drained trie is still usable.
         trie.insert(pool[0], "again")
         assert trie.lookup(pool[0].network) == "again"
+
+
+def assert_matches(trie, oracle, prefixes_seen):
+    """Every read of the trie agrees with the oracle."""
+    assert len(trie) == len(oracle.entries)
+    assert trie.items() == oracle.items()
+    for prefix in prefixes_seen:
+        assert (prefix in trie) is (prefix in oracle.entries)
+        assert trie.get(prefix) == oracle.get(prefix)
+    for address in probe_addresses(prefixes_seen):
+        assert trie.lookup(address) == oracle.lookup(address)
+
+
+class TestLengthExtremes:
+    """Lengths 0 and 32 are the two ends of the per-length tables: the
+    default route masks every address to 0, a /32 masks nothing."""
+
+    DEFAULT = Prefix(0, 0)
+    HOST = Prefix(0xE0000001, 32)
+    BLOCK = Prefix(0xE0000000, 24)
+
+    def test_default_route_catches_every_miss(self):
+        trie, oracle = LpmTrie(), Oracle()
+        for prefix, value in (
+            (self.DEFAULT, "default"),
+            (self.BLOCK, "block"),
+            (self.HOST, "host"),
+        ):
+            trie.insert(prefix, value)
+            oracle.insert(prefix, value)
+        assert trie.lookup(0x0A000001) == "default"
+        assert trie.lookup(0xFFFFFFFF) == "default"
+        assert trie.lookup(0xE0000002) == "block"
+        assert trie.lookup(0xE0000001) == "host"
+        assert trie.covered(self.DEFAULT) == oracle.covered(self.DEFAULT)
+        assert trie.covered(self.HOST) == [(self.HOST, "host")]
+        assert_matches(trie, oracle, [self.DEFAULT, self.BLOCK, self.HOST])
+
+    def test_stored_none_still_wins_the_match(self):
+        trie = LpmTrie()
+        trie.insert(self.DEFAULT, "default")
+        trie.insert(self.HOST, None)
+        assert self.HOST in trie
+        assert trie.lookup(self.HOST.network) is None
+        assert trie.lookup(self.HOST.network + 1) == "default"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                make_prefix,
+                st.integers(min_value=0, max_value=0xFFFFFFFF),
+                st.sampled_from((0, 1, 31, 32)),
+            ),
+            max_size=16,
+        )
+    )
+    def test_extreme_lengths_match_reference(self, items):
+        trie, oracle = LpmTrie(), Oracle()
+        for value, prefix in enumerate(items):
+            trie.insert(prefix, value)
+            oracle.insert(prefix, value)
+        assert_matches(trie, oracle, items + [self.DEFAULT])
+
+
+class TestLengthEmptiesAndRefills:
+    """Removing the last entry of a length drops that length from the
+    probe order; inserting at it again must bring it back."""
+
+    def test_drain_and_refill_each_length(self):
+        trie, oracle = LpmTrie(), Oracle()
+        lengths = (0, 8, 20, 32)
+        pool = [
+            make_prefix(0xE0012345 + offset, length)
+            for length in lengths
+            for offset in (0, 1 << 12)
+        ]
+        for value, prefix in enumerate(pool):
+            trie.insert(prefix, value)
+            oracle.insert(prefix, value)
+            assert_matches(trie, oracle, pool)
+        for drained in lengths:
+            for prefix in pool:
+                if prefix.length != drained:
+                    continue
+                assert trie.remove(prefix) is oracle.remove(prefix)
+                assert_matches(trie, oracle, pool)
+            for value, prefix in enumerate(pool):
+                if prefix.length == drained:
+                    trie.insert(prefix, f"refill{value}")
+                    oracle.insert(prefix, f"refill{value}")
+                    assert_matches(trie, oracle, pool)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.builds(
+                    make_prefix,
+                    st.integers(min_value=0xE0000000, max_value=0xE00000FF),
+                    st.sampled_from((0, 24, 28, 32)),
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    def test_interleaved_churn_checked_every_step(self, steps):
+        """A small address window and four lengths make lengths empty
+        and refill often; every read is checked after every step."""
+        trie, oracle = LpmTrie(), Oracle()
+        seen = []
+        for value, (insert, prefix) in enumerate(steps):
+            seen.append(prefix)
+            if insert:
+                trie.insert(prefix, value)
+                oracle.insert(prefix, value)
+            else:
+                assert trie.remove(prefix) is oracle.remove(prefix)
+            assert_matches(trie, oracle, seen)

@@ -1,9 +1,14 @@
 """Tests for Adj-RIB-In and Loc-RIB."""
 
+import pickle
+
+import pytest
+
 from repro.addressing.ipv4 import parse_address
 from repro.addressing.prefix import Prefix
 from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.routes import Route, RouteType
+from repro.checkpoint import roundtrip
 from repro.topology.domain import Domain
 
 
@@ -85,3 +90,119 @@ class TestLocRib:
         rib.install(route(P16))
         rib.clear()
         assert len(rib) == 0
+
+
+P8 = Prefix.parse("224.0.0.0/8")
+#: Addresses under, between and outside the test prefixes.
+PROBES = [
+    parse_address(text)
+    for text in ("224.0.128.1", "224.0.1.1", "224.9.0.1", "230.0.0.1")
+]
+
+
+def fresh_copy(rib):
+    """A LocRib rebuilt from ``rib``'s table, with cold caches."""
+    copy = LocRib()
+    copy.replace(rib.snapshot())
+    return copy
+
+
+def assert_views_fresh(rib):
+    """Every cached view equals the one a fresh rebuild computes."""
+    fresh = fresh_copy(rib)
+    assert rib.routes() == fresh.routes()
+    for route_type in RouteType:
+        assert rib.routes(route_type) == fresh.routes(route_type)
+    for address in PROBES:
+        assert rib.grib_lookup(address) == fresh.grib_lookup(address)
+    assert rib.digest_lines() == fresh.digest_lines()
+    assert rib.digest_lines() == rib.digest_lines_uncached()
+
+
+def warmed(*routes):
+    """A LocRib holding ``routes`` with every cached view built."""
+    rib = LocRib()
+    for item in routes:
+        rib.install(item)
+    assert_views_fresh(rib)
+    return rib
+
+
+class TestLocRibCaches:
+    def test_install_invalidates(self):
+        rib = warmed(route(P16))
+        rib.install(route(P24))
+        assert_views_fresh(rib)
+        assert rib.grib_lookup(PROBES[0]).prefix == P24
+
+    def test_install_replacement_invalidates(self):
+        hop = Domain(1, name="B").router("B1")
+        rib = warmed(route(P24))
+        rib.install(route(P24, hop=hop))
+        assert_views_fresh(rib)
+        assert rib.grib_lookup(PROBES[0]).next_hop is hop
+
+    def test_remove_invalidates(self):
+        rib = warmed(route(P16), route(P24))
+        assert rib.remove(RouteType.GROUP, P24)
+        assert_views_fresh(rib)
+        assert rib.grib_lookup(PROBES[0]).prefix == P16
+
+    def test_replace_changed_invalidates(self):
+        rib = warmed(route(P16), route(P24, RouteType.UNICAST))
+        table = {r.key(): r for r in (route(P8), route(P24))}
+        old = rib.replace_capturing(table)
+        assert old is not None and len(old) == 2
+        assert_views_fresh(rib)
+        assert [r.prefix for r in rib.routes()] == [P8, P24]
+
+    def test_replace_unchanged_keeps_views(self):
+        rib = warmed(route(P16), route(P24))
+        before = rib.digest_lines()
+        equal = {r.key(): r for r in (route(P16), route(P24))}
+        assert rib.replace_capturing(equal) is None
+        assert rib.digest_lines() is before
+        assert_views_fresh(rib)
+
+    def test_clear_invalidates(self):
+        rib = warmed(route(P16), route(P24))
+        rib.clear()
+        assert_views_fresh(rib)
+        assert rib.routes() == []
+        assert rib.grib_lookup(PROBES[0]) is None
+        assert rib.digest_lines() == b""
+
+    def test_caller_cannot_mutate_the_cache(self):
+        rib = warmed(route(P16), route(P24))
+        listing = rib.routes()
+        listing.clear()
+        rib.group_routes().append(route(P8))
+        assert [r.prefix for r in rib.routes()] == [P16, P24]
+        assert_views_fresh(rib)
+
+    def test_restore_starts_cold_and_matches(self):
+        rib = warmed(route(P16), route(P24), route(P24, RouteType.MRIB))
+        restored = roundtrip(rib)
+        assert restored.snapshot() == rib.snapshot()
+        assert restored.digest_lines() == rib.digest_lines()
+        assert_views_fresh(restored)
+        restored.remove(RouteType.GROUP, P24)
+        assert_views_fresh(restored)
+        assert restored.digest_lines() != rib.digest_lines()
+
+
+class TestRouteTypeIdentity:
+    def test_values(self):
+        assert RouteType.GROUP.value == "group"
+        assert RouteType.UNICAST.value == "unicast"
+        assert RouteType.MRIB.value == "mrib"
+
+    def test_str_and_repr_unchanged(self):
+        assert str(RouteType.GROUP) == "RouteType.GROUP"
+        assert repr(RouteType.GROUP) == "<RouteType.GROUP: 'group'>"
+
+    @pytest.mark.parametrize("member", list(RouteType))
+    def test_restored_member_is_the_original(self, member):
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert roundtrip({"type": member})["type"] is member
+        assert RouteType(member.value) is member
