@@ -101,6 +101,7 @@ def test_bench_micro_bgp_decision(benchmark):
 
     def decide():
         speaker.loc_rib.clear()
+        speaker.mark_all_pending()
         return speaker.recompute()
 
     benchmark(decide)

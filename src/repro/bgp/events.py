@@ -116,14 +116,15 @@ class EventDrivenBgp(BgpNetwork):
     def _send_update(self, router: BorderRouter, peer: BorderRouter) -> None:
         self._pending_send.discard((router, peer))
         speaker = self.speaker(router)
-        exports = self._session_exports(speaker)
-        routes = exports.get(peer, [])
+        current = (
+            self._advertised(speaker, peer, speaker.loc_rib.routes())
+            if self.session_up(router, peer)
+            else {}
+        )
         if peer.domain != router.domain:
-            routes = self._localize(peer.domain, router.domain, routes)
             delay = self.external_delay
         else:
             delay = self.internal_delay
-        current = {route.key(): route for route in routes}
         previous = self._sent.get((router, peer), {})
         update = UpdateMessage()
         for key, route in current.items():
@@ -150,11 +151,7 @@ class EventDrivenBgp(BgpNetwork):
         update: UpdateMessage,
     ) -> None:
         speaker = self.speaker(receiver)
-        for route in update.announcements:
-            speaker.receive(sender, route)
-        session = speaker.session_with(sender)
-        for route_type, prefix in update.withdrawals:
-            session.withdraw(route_type, prefix)
+        speaker.update(sender, update.announcements, update.withdrawals)
         self._recompute_and_cascade(speaker)
 
     # ------------------------------------------------------------------

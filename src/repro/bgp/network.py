@@ -7,14 +7,16 @@ Loc-RIB is stable. Aggregation of covered customer group routes
 (section 4.3.2 of the paper) is applied at the domain's external
 border.
 
-Two propagation engines share one code path. The default *incremental*
-engine tracks which speakers' inputs changed (dirty sets fed by
-:class:`~repro.bgp.speaker.BgpSpeaker` mutation hooks) and only those
-speakers export; the *full* engine (``incremental=False``) exports
-from every speaker each round. Both gate every directed session on the
-cached last-sent advertisement set, so an unchanged set sends nothing
-— which makes the two engines produce identical rounds, Loc-RIBs,
-update counts, and trace fingerprints (see
+Two propagation engines share one round loop. The default
+*incremental* engine is prefix-scoped: only speakers whose inputs
+changed take part, each re-decides only the (type, prefix) keys its
+inputs touched, and each exports only the keys whose Loc-RIB entry
+changed, compared per key against what the session last carried. The
+*full* engine (``incremental=False``) re-decides and exports every key
+of every speaker each round, replacing a receiver's whole Adj-RIB-In
+whenever a session's set changed — the oracle the scoped bookkeeping
+is checked against. Both engines produce identical rounds, Loc-RIBs,
+update counts, G-RIB deltas and trace fingerprints (see
 ``docs/ARCHITECTURE.md`` section 8 and
 ``tests/bgp/test_incremental_equivalence.py``).
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.addressing.prefix import Prefix
 from repro.addressing.trie import LpmTrie
@@ -32,17 +34,25 @@ from repro.bgp.policy import (
     GaoRexfordPolicy,
     preference_for,
 )
-from repro.bgp.rib import LocRib, diff_type_entries
+from repro.bgp.rib import LocRib, RouteKey
 from repro.bgp.routes import Route, RouteType
 from repro.bgp.speaker import BgpSpeaker
 from repro.topology.domain import BorderRouter, Domain
 from repro.topology.network import Topology
 from repro.trace.tracer import NULL_TRACER
 
-#: "Never sent anything" and "last sent an empty set" are equivalent:
-#: both mean the receiver holds no routes from this session, so an
-#: empty advertisement set is never worth an UPDATE.
-_NOTHING_SENT: List[Route] = []
+
+#: The shared record of a session that has carried nothing (most do:
+#: export policy leaves many sessions empty). An empty record is never
+#: mutated — the first route sent on such a session gets the session a
+#: dict of its own — so sharing it is safe, across a checkpoint too.
+_EMPTY_RECORD: Dict[RouteKey, Route] = {}
+
+
+def _session_peers(router: BorderRouter) -> List[BorderRouter]:
+    """The routers ``router`` has BGP sessions with: its external
+    neighbours, then the other border routers of its domain."""
+    return router.external_neighbors + router.internal_peers()
 
 
 class ConvergenceError(Exception):
@@ -60,10 +70,10 @@ class GribDelta:
 
     ``kind`` is ``"added"``, ``"withdrawn"`` or ``"changed"`` (the
     best route for the prefix was replaced — next hop, AS path or
-    preference moved). Deltas are emitted from the content comparison
-    inside :meth:`~repro.bgp.rib.LocRib.replace`, so a recompute that
-    lands on identical contents emits nothing, and both propagation
-    engines emit the identical delta stream.
+    preference moved). Deltas come straight from the keys
+    :meth:`~repro.bgp.speaker.BgpSpeaker.recompute` changed, so a
+    re-decision that lands on the same route emits nothing, and both
+    propagation engines emit the identical delta stream.
     """
 
     router: BorderRouter
@@ -98,10 +108,10 @@ class BgpNetwork:
         self.topology = topology
         self.policy = policy if policy is not None else GaoRexfordPolicy()
         self.aggregate = aggregate
-        #: Engine selection: the incremental engine only recomputes and
-        #: exports from speakers whose inputs changed; the full engine
-        #: walks every speaker every round. Subclasses that mutate
-        #: speaker state behind the network's back (e.g. the
+        #: Engine selection: the incremental engine re-decides and
+        #: exports only the keys that changed; the full engine walks
+        #: every key of every speaker every round. Subclasses that
+        #: mutate speaker state behind the network's back (e.g. the
         #: event-driven variant) must pass ``incremental=False``.
         self.incremental = incremental
         self.speakers: Dict[BorderRouter, BgpSpeaker] = {}
@@ -122,11 +132,16 @@ class BgpNetwork:
         #: recompute, and speakers whose exports must be re-evaluated.
         self._dirty: Set[BgpSpeaker] = set()
         self._export_dirty: Set[BgpSpeaker] = set()
-        #: Last advertisement set sent on each directed session
-        #: (sender router, receiver router) — post-:meth:`_localize`,
-        #: so an equality hit skips the whole receive path.
+        #: Speakers whose aggregation filter changed (their domain's
+        #: origins moved): their next export covers every key.
+        self._full_export: Dict[BgpSpeaker, None] = {}
+        #: What each directed session (sender router, receiver router)
+        #: last carried, per key, in the receiver-side form of
+        #: :meth:`_advertised`. No entry means the next export on the
+        #: session is a full one (never sent, revived, crashed, or
+        #: invalidated); a down session never has one.
         self._last_sent: Dict[
-            Tuple[BorderRouter, BorderRouter], List[Route]
+            Tuple[BorderRouter, BorderRouter], Dict[RouteKey, Route]
         ] = {}
         #: True while :meth:`try_converge` performs its own mutations;
         #: speaker hooks are ignored so the engine's bookkeeping is not
@@ -166,11 +181,27 @@ class BgpNetwork:
         self._dirty.add(speaker)
         self._export_dirty.add(speaker)
 
+    def session_changed(
+        self, speaker: BgpSpeaker, peer: BorderRouter
+    ) -> None:
+        """The Adj-RIB-In ``speaker`` holds from ``peer`` changed
+        outside of convergence: the session's last-sent record no
+        longer says what the receiver holds, so ``peer`` re-exports it
+        in full, and ``speaker`` must recompute."""
+        if self._muted:
+            return
+        self._last_sent.pop((peer, speaker.router), None)
+        peer_speaker = self.speakers.get(peer)
+        if peer_speaker is not None:
+            self._export_dirty.add(peer_speaker)
+        self.speaker_dirty(speaker)
+
     def origins_changed(self, speaker: BgpSpeaker) -> None:
         """A speaker's origin set changed: the domain's own-prefix
         cache and the network-wide origin index are stale, and every
         speaker of the domain filters exports against the domain's
-        origins (aggregation), so all of them must re-export."""
+        origins (aggregation), so all of them must re-export every
+        key."""
         domain = speaker.domain
         self._own_prefix_cache.pop(domain, None)
         self._origin_index = None
@@ -178,16 +209,19 @@ class BgpNetwork:
             peer_speaker = self.speakers.get(router)
             if peer_speaker is not None:
                 self._export_dirty.add(peer_speaker)
+                self._full_export[peer_speaker] = None
         self._export_dirty.add(speaker)
+        self._full_export[speaker] = None
 
     def invalidate(self) -> None:
-        """Mark every speaker dirty and drop every cache — the big
-        hammer for callers that mutate the topology (new links or
-        routers) after construction."""
+        """Mark every key of every speaker dirty and drop every cache —
+        the big hammer for callers that mutate the topology (new links
+        or routers) after construction."""
         self._own_prefix_cache.clear()
         self._origin_index = None
         self._last_sent.clear()
         for speaker in self.speakers.values():
+            speaker.mark_all_pending()
             self._dirty.add(speaker)
             self._export_dirty.add(speaker)
         # Delta subscribers cannot trust an incremental stream across a
@@ -212,25 +246,21 @@ class BgpNetwork:
             self._grib_subscribers.append(subscriber)
 
     def captures_grib(self) -> bool:
-        """Whether speakers should capture before/after snapshots
-        around Loc-RIB changes (only worth the copy when someone is
-        listening)."""
+        """Whether speakers should collect their G-RIB changes (only
+        worth it when someone is listening)."""
         return bool(self._grib_subscribers)
 
     def grib_changed(
-        self,
-        speaker: BgpSpeaker,
-        old: Dict[Tuple[RouteType, Prefix], Route],
-        new: Dict[Tuple[RouteType, Prefix], Route],
+        self, speaker: BgpSpeaker, changes: List[Tuple[Prefix, str]]
     ) -> None:
-        """Speaker hook: its Loc-RIB contents just changed. Unlike the
-        dirty-set hooks this one stays live during convergence — the
-        deltas produced *by* convergence are exactly the stream the
-        subscribers want."""
-        for prefix, kind in diff_type_entries(old, new, RouteType.GROUP):
-            self._pending_grib_deltas.append(
-                GribDelta(speaker.router, prefix, kind)
-            )
+        """Speaker hook: these ``(prefix, kind)`` G-RIB entries just
+        changed. Unlike the dirty-set hooks this one stays live during
+        convergence — the deltas produced *by* convergence are exactly
+        the stream the subscribers want."""
+        router = speaker.router
+        self._pending_grib_deltas.extend(
+            GribDelta(router, prefix, kind) for prefix, kind in changes
+        )
 
     def flush_grib_deltas(self) -> int:
         """Deliver accumulated deltas to every subscriber; returns how
@@ -257,9 +287,7 @@ class BgpNetwork:
             found = self._new_speaker(router)
             self.speakers[router] = found
             # Existing neighbors must (re-)send to the newcomer.
-            for peer in list(router.external_neighbors) + list(
-                router.internal_peers()
-            ):
+            for peer in _session_peers(router):
                 peer_speaker = self.speakers.get(peer)
                 if peer_speaker is not None:
                     self._export_dirty.add(peer_speaker)
@@ -322,11 +350,11 @@ class BgpNetwork:
     def session_up(self, a: BorderRouter, b: BorderRouter) -> bool:
         """True when the a-b session can carry updates: both endpoints
         up and the session itself not administratively down."""
-        return (
-            self.router_up(a)
-            and self.router_up(b)
-            and frozenset((a, b)) not in self._down_sessions
-        )
+        down_routers = self._down_routers
+        if down_routers and (a in down_routers or b in down_routers):
+            return False
+        down_sessions = self._down_sessions
+        return not down_sessions or frozenset((a, b)) not in down_sessions
 
     def set_session_state(
         self, a: BorderRouter, b: BorderRouter, up: bool
@@ -335,8 +363,8 @@ class BgpNetwork:
 
         Going down immediately withdraws everything either side learned
         from the other (BGP's session-loss semantics); coming back up
-        re-advertises on the next :meth:`converge` — full advertisement
-        sets flow every round, so no explicit replay is needed.
+        re-advertises on the next :meth:`converge`: with no last-sent
+        record left, each side exports its full set on the session.
         """
         key = frozenset((a, b))
         if up:
@@ -371,13 +399,12 @@ class BgpNetwork:
         if router in self._down_routers:
             return
         self._down_routers.add(router)
-        for speaker in self.speakers.values():
-            if speaker.router != router:
-                speaker.drop_session(router)
+        for peer in _session_peers(router):
+            peer_speaker = self.speakers.get(peer)
+            if peer_speaker is not None:
+                peer_speaker.drop_session(router)
+            self._forget_session(router, peer)
         self.speaker(router).reset()
-        stale = [key for key in self._last_sent if router in key]
-        for key in stale:
-            del self._last_sent[key]
 
     def restore_router(self, router: BorderRouter) -> None:
         """Restart a crashed router; the next :meth:`converge` rebuilds
@@ -389,9 +416,7 @@ class BgpNetwork:
         self._dirty.add(speaker)
         self._export_dirty.add(speaker)
         # Neighbors must re-send everything the crash wiped out.
-        for peer in list(router.external_neighbors) + list(
-            router.internal_peers()
-        ):
+        for peer in _session_peers(router):
             peer_speaker = self.speakers.get(peer)
             if peer_speaker is not None:
                 self._export_dirty.add(peer_speaker)
@@ -425,21 +450,22 @@ class BgpNetwork:
         """Run synchronous update rounds, reporting rather than raising
         on a budget overrun.
 
-        Each round: the exporting speakers compute their per-session
-        advertisement sets, every *changed* set is delivered (wholesale
-        Adj-RIB-In replacement models implicit withdrawal; an unchanged
-        or never-sent-and-empty set is suppressed and not counted in
-        :attr:`updates_sent`), then the affected speakers rerun the
-        decision process. Crashed routers and down sessions carry
-        nothing — their routes were withdrawn when the fault hit.
+        Each round: the exporting speakers deliver their changes on
+        every live session (see :meth:`_export`; a session whose
+        advertisements did not change sends nothing and is not counted
+        in :attr:`updates_sent`), then the speakers that received an
+        UPDATE rerun the decision process. Crashed routers and down
+        sessions carry nothing — their routes were withdrawn when the
+        fault hit.
 
         The incremental engine seeds the exporter set from the dirty
         sets fed by speaker mutation hooks and thereafter from the
-        speakers whose Loc-RIBs changed in the previous round; the full
-        engine exports from everyone every round. A speaker whose
-        inputs did not change recomputes to an identical Loc-RIB and
-        exports identical (suppressed) sets, so both engines walk the
-        same sequence of delivered updates, changed Loc-RIBs, and
+        speakers whose Loc-RIBs changed in the previous round; each
+        re-decides and exports only the keys that changed. The full
+        engine re-decides and exports every key of every speaker every
+        round. A key whose inputs did not change re-decides to the same
+        route and exports the same advertisement, so both engines walk
+        the same sequence of delivered updates, changed Loc-RIBs, and
         rounds.
         """
         ordered = [
@@ -466,36 +492,22 @@ class BgpNetwork:
                             self._dirty.discard(speaker)
                 else:
                     for speaker in ordered:
+                        speaker.mark_all_pending()
                         speaker.recompute()
                     exporters = ordered
                 for round_index in range(1, max_rounds + 1):
-                    round_updates = 0
                     receivers: Set[BgpSpeaker] = set()
-                    for speaker in exporters:
-                        per_peer = self._session_exports(speaker)
-                        for peer, routes in per_peer.items():
-                            if peer.domain != speaker.domain:
-                                routes = self._localize(peer.domain,
-                                                        speaker.domain,
-                                                        routes)
-                            key = (speaker.router, peer)
-                            if routes == self._last_sent.get(
-                                key, _NOTHING_SENT
-                            ):
-                                continue
-                            self._last_sent[key] = routes
-                            receiver = self.speakers[peer]
-                            receiver.replace_session_routes(
-                                speaker.router, routes
-                            )
-                            receivers.add(receiver)
-                            round_updates += 1
-                    self.updates_sent += round_updates
-                    recompute = (
-                        sorted(receivers, key=rank.__getitem__)
-                        if incremental
-                        else ordered
+                    round_updates = sum(
+                        self._export(speaker, receivers)
+                        for speaker in exporters
                     )
+                    self.updates_sent += round_updates
+                    if incremental:
+                        recompute = sorted(receivers, key=rank.__getitem__)
+                    else:
+                        recompute = ordered
+                        for speaker in ordered:
+                            speaker.mark_all_pending()
                     changed = [
                         speaker
                         for speaker in recompute
@@ -536,54 +548,126 @@ class BgpNetwork:
         ordered.extend(r for r in self.speakers if r not in known)
         return ordered
 
-    def _session_exports(
-        self, speaker: BgpSpeaker
-    ) -> Dict[BorderRouter, List[Route]]:
-        """Advertisements this speaker sends on each session this round."""
-        per_peer: Dict[BorderRouter, List[Route]] = {}
+    def _export(
+        self, speaker: BgpSpeaker, receivers: Set[BgpSpeaker]
+    ) -> int:
+        """Deliver ``speaker``'s changes on each of its live sessions;
+        returns the UPDATE count and adds each receiver to
+        ``receivers``.
+
+        A session with a last-sent record gets the keys whose Loc-RIB
+        entry changed, compared per key against the record. A session
+        without one, every session of the full engine and every session
+        of a speaker whose aggregation filter changed get the full
+        set, replacing the receiver's whole Adj-RIB-In when it differs
+        from the record (no record ≡ nothing sent: an empty set is never
+        worth an UPDATE).
+        """
+        sender = speaker.router
+        keys = list(speaker.take_changed())
+        everything = not self.incremental
+        if speaker in self._full_export:
+            del self._full_export[speaker]
+            everything = True
+        loc_rib = speaker.loc_rib
+        changed = [
+            route
+            for route in (loc_rib.get(*key) for key in keys)
+            if route is not None
+        ]
+        last_sent = self._last_sent
+        updates = 0
+        for peer in _session_peers(sender):
+            session = (sender, peer)
+            last = last_sent.get(session)
+            receiver = self.speakers[peer]
+            if last is not None and not everything:
+                # A session with a record is up: a down one has none.
+                if not keys:
+                    continue
+                current = self._advertised(speaker, peer, changed)
+                announced: List[Route] = []
+                withdrawn: List[RouteKey] = []
+                for key in keys:
+                    route = current.get(key)
+                    before = last.get(key)
+                    if route is None:
+                        if before is not None:
+                            withdrawn.append(key)
+                    elif before is None or before != route:
+                        announced.append(route)
+                if not announced and not withdrawn:
+                    continue
+                if not last:
+                    last = last_sent[session] = {}
+                for key in withdrawn:
+                    del last[key]
+                for route in announced:
+                    last[route.key()] = route
+                receiver.update(sender, announced, withdrawn)
+            else:
+                if not self.session_up(sender, peer):
+                    continue
+                sent = self._advertised(speaker, peer, loc_rib.routes())
+                if sent == (last or _EMPTY_RECORD):
+                    if last is None and not receiver.holds_routes_from(
+                        sender
+                    ):
+                        last_sent[session] = _EMPTY_RECORD
+                    continue
+                last_sent[session] = sent
+                receiver.replace_session_routes(sender, sent.values())
+            receivers.add(receiver)
+            updates += 1
+        return updates
+
+    def _advertised(
+        self, speaker: BgpSpeaker, peer: BorderRouter, routes: Iterable[Route]
+    ) -> Dict[RouteKey, Route]:
+        """What ``peer`` holds from ``speaker`` for the given Loc-RIB
+        entries, keyed by (type, prefix): export policy and aggregation
+        applied, then the receiver-side form — an external route
+        carries the receiver's local_pref and learned_from for its
+        relationship to the sending domain (customer routes preferred).
+        Filtered routes are absent."""
+        sender = speaker.router
         domain = speaker.domain
-        own_prefixes = self._own_prefixes_by_type(domain)
-        best_routes = speaker.loc_rib.routes()
-        for peer in speaker.router.external_neighbors:
-            if not self.session_up(speaker.router, peer):
+        advertised: Dict[RouteKey, Route] = {}
+        if peer.domain == domain:
+            for route in routes:
+                if not route.from_internal:
+                    advertised[route.key()] = route.advertised_by(
+                        sender, internal=True
+                    )
+            return advertised
+        relationship = domain.relationship_to(peer.domain)
+        learned_from = peer.domain.relationship_to(domain)
+        preference = preference_for(learned_from)
+        multicast_ok = self.topology.multicast_capable(sender, peer)
+        own_prefixes = (
+            self._own_prefixes_by_type(domain) if self.aggregate else None
+        )
+        allows = self.policy.allows
+        for route in routes:
+            # Unicast-only links carry no multicast routing state:
+            # group and M-RIB routes detour around them, making the
+            # multicast topology incongruent with the unicast one
+            # (sections 2-3 of the paper).
+            if not multicast_ok and route.route_type in (
+                RouteType.GROUP,
+                RouteType.MRIB,
+            ):
                 continue
-            relationship = domain.relationship_to(peer.domain)
-            multicast_ok = self.topology.multicast_capable(
-                speaker.router, peer
+            if not allows(domain, route, route.learned_from, relationship):
+                continue
+            if own_prefixes and self._covered_by_own(
+                domain, route, own_prefixes
+            ):
+                continue
+            advertised[route.key()] = route.advertised_by(
+                sender, preference, learned_from=learned_from
             )
-            advertised: List[Route] = []
-            for route in best_routes:
-                # Unicast-only links carry no multicast routing state:
-                # group and M-RIB routes detour around them, making the
-                # multicast topology incongruent with the unicast one
-                # (sections 2-3 of the paper).
-                if not multicast_ok and route.route_type in (
-                    RouteType.GROUP,
-                    RouteType.MRIB,
-                ):
-                    continue
-                if not self.policy.allows(
-                    domain, route, route.learned_from, relationship
-                ):
-                    continue
-                if self.aggregate and self._covered_by_own(
-                    domain, route, own_prefixes
-                ):
-                    continue
-                advertised.append(
-                    route.advertised_by(speaker.router)
-                )
-            per_peer[peer] = advertised
-        for internal in speaker.router.internal_peers():
-            if not self.session_up(speaker.router, internal):
-                continue
-            advertised = [
-                route.advertised_by(speaker.router, internal=True)
-                for route in best_routes
-                if not route.from_internal
-            ]
-            per_peer[internal] = advertised
-        return per_peer
+        return advertised
 
     def _own_prefixes_by_type(
         self, domain: Domain
@@ -617,34 +701,6 @@ class BgpNetwork:
             if prefix != route.prefix and prefix.contains(route.prefix):
                 return True
         return False
-
-    # ------------------------------------------------------------------
-    # Delivery: receiver-side route construction
-
-    def _localize(
-        self,
-        receiver: Domain,
-        sender: Domain,
-        routes: List[Route],
-    ) -> List[Route]:
-        """Rewrite externally-advertised routes into receiver-relative
-        form: local_pref and learned_from reflect the receiver's
-        relationship to the sending domain (customer routes preferred).
-        """
-        relationship = receiver.relationship_to(sender)
-        preference = preference_for(relationship)
-        return [
-            Route(
-                route.prefix,
-                route.route_type,
-                route.next_hop,
-                route.as_path,
-                local_pref=preference,
-                from_internal=False,
-                learned_from=relationship,
-            )
-            for route in routes
-        ]
 
     # ------------------------------------------------------------------
     # Queries

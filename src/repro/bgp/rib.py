@@ -9,46 +9,16 @@ lookup.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.addressing.prefix import Prefix
 from repro.addressing.trie import LpmTrie
 from repro.bgp.routes import Route, RouteType
 from repro.topology.domain import BorderRouter
 
-
-def diff_type_entries(
-    old: Dict[Tuple[RouteType, Prefix], Route],
-    new: Dict[Tuple[RouteType, Prefix], Route],
-    route_type: RouteType,
-) -> List[Tuple[Prefix, str]]:
-    """Content diff between two Loc-RIB snapshots for one route type.
-
-    Returns ``(prefix, kind)`` pairs with kind one of ``"added"``,
-    ``"withdrawn"`` or ``"changed"`` (the route object for the prefix
-    differs — next hop, AS path, preference or provenance). This is
-    the primitive behind the G-RIB delta stream that drives
-    incremental BGMP tree maintenance; the pairs are sorted so delta
-    consumers see a deterministic order.
-    """
-    deltas: List[Tuple[Prefix, str]] = []
-    for key, route in old.items():
-        kind, prefix = key
-        if kind is not route_type:
-            continue
-        replacement = new.get(key)
-        if replacement is None:
-            deltas.append((prefix, "withdrawn"))
-        elif replacement != route:
-            deltas.append((prefix, "changed"))
-    for key in new:
-        kind, prefix = key
-        if kind is not route_type:
-            continue
-        if key not in old:
-            deltas.append((prefix, "added"))
-    deltas.sort(key=lambda item: (item[0].network, item[0].length, item[1]))
-    return deltas
+#: The (type, prefix) pair every RIB table is keyed by.
+RouteKey = Tuple[RouteType, Prefix]
 
 
 def _canonical_order(routes: Iterable[Route]) -> List[Route]:
@@ -87,7 +57,7 @@ class AdjRibIn:
 
     def __init__(self, peer: BorderRouter):
         self.peer = peer
-        self._routes: Dict[Tuple[RouteType, Prefix], Route] = {}
+        self._routes: Dict[RouteKey, Route] = {}
 
     def update(self, route: Route) -> None:
         """Install or replace the peer's route for its (type, prefix)."""
@@ -101,6 +71,14 @@ class AdjRibIn:
         """All routes from this peer."""
         return list(self._routes.values())
 
+    def keys(self) -> List[RouteKey]:
+        """The (type, prefix) keys the peer holds a route for."""
+        return list(self._routes)
+
+    def view(self) -> Mapping[RouteKey, Route]:
+        """A read-only view of the table, keyed by (type, prefix)."""
+        return MappingProxyType(self._routes)
+
     def get(self, route_type: RouteType, prefix: Prefix) -> Optional[Route]:
         """The peer's route for (type, prefix), if any."""
         return self._routes.get((route_type, prefix))
@@ -108,7 +86,7 @@ class AdjRibIn:
     def __len__(self) -> int:
         return len(self._routes)
 
-    def snapshot(self) -> Dict[Tuple[RouteType, Prefix], Route]:
+    def snapshot(self) -> Dict[RouteKey, Route]:
         """A copy of the table (used by convergence checks)."""
         return dict(self._routes)
 
@@ -116,17 +94,18 @@ class AdjRibIn:
 class LocRib:
     """Selected best routes, one per (type, prefix).
 
-    Three derived views are cached until the next mutation
-    (:meth:`install`, :meth:`remove`, a changed :meth:`replace` or
-    :meth:`clear`): the per-type :class:`LpmTrie` longest-match
-    indexes, the canonical :meth:`routes` order, and the
-    :meth:`digest_lines` encoding. The steady state — many lookups and
-    exports between decision rounds — pays for each once per change.
-    Checkpoints carry the table alone; a restore starts cold.
+    The decision process edits the table one key at a time
+    (:meth:`install`, :meth:`remove`). Three derived views are cached:
+    the per-type :class:`LpmTrie` longest-match indexes, kept current
+    in place by every edit, and the canonical :meth:`routes` order and
+    :meth:`digest_lines` encoding, dropped by every edit and rebuilt on
+    the next read. The steady state — many lookups and exports between
+    decision rounds — pays for each once per change. Checkpoints carry
+    the table alone; a restore starts cold.
     """
 
     def __init__(self) -> None:
-        self._routes: Dict[Tuple[RouteType, Prefix], Route] = {}
+        self._routes: Dict[RouteKey, Route] = {}
         self._lpm: Dict[RouteType, LpmTrie] = {}
         self._ordered: Optional[List[Route]] = None
         self._digest: Optional[bytes] = None
@@ -136,9 +115,9 @@ class LocRib:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self._routes = state["_routes"]
-        self._invalidate()
+        self._drop_views()
 
-    def _invalidate(self) -> None:
+    def _drop_views(self) -> None:
         self._lpm = {}
         self._ordered = None
         self._digest = None
@@ -146,38 +125,22 @@ class LocRib:
     def install(self, route: Route) -> None:
         """Install the winning route for its (type, prefix)."""
         self._routes[route.key()] = route
-        self._invalidate()
+        index = self._lpm.get(route.route_type)
+        if index is not None:
+            index.insert(route.prefix, route)
+        self._ordered = None
+        self._digest = None
 
     def remove(self, route_type: RouteType, prefix: Prefix) -> bool:
         """Drop the entry; True if one was present."""
         if self._routes.pop((route_type, prefix), None) is None:
             return False
-        self._invalidate()
+        index = self._lpm.get(route_type)
+        if index is not None:
+            index.remove(prefix)
+        self._ordered = None
+        self._digest = None
         return True
-
-    def replace(self, routes: Dict[Tuple[RouteType, Prefix], Route]) -> bool:
-        """Swap in a freshly-selected table; True when the contents
-        changed (the comparison the decision process reports)."""
-        return self.replace_capturing(routes) is not None
-
-    def replace_capturing(
-        self, routes: Dict[Tuple[RouteType, Prefix], Route]
-    ) -> Optional[Dict[Tuple[RouteType, Prefix], Route]]:
-        """Like :meth:`replace`, but returns the pre-replacement table
-        when the contents changed (``None`` when unchanged).
-
-        Because the swap installs a fresh dict, the old one can be
-        handed back without copying — the zero-cost capture the G-RIB
-        delta stream rides on: no snapshots on the (overwhelmingly
-        common) unchanged recompute, no copy on the changed one. An
-        unchanged recompute keeps the cached views too.
-        """
-        if routes == self._routes:
-            return None
-        old = self._routes
-        self._routes = dict(routes)
-        self._invalidate()
-        return old
 
     def get(self, route_type: RouteType, prefix: Prefix) -> Optional[Route]:
         """Exact-prefix lookup."""
@@ -225,9 +188,9 @@ class LocRib:
         return len(self._routes)
 
     def clear(self) -> None:
-        """Drop everything (used when recomputing from scratch)."""
+        """Drop everything (a crashed router's volatile state)."""
         self._routes.clear()
-        self._invalidate()
+        self._drop_views()
 
     def digest_lines(self) -> bytes:
         """The table's ``rib_digest`` payload: :func:`_encode_routes`
@@ -241,22 +204,6 @@ class LocRib:
         cached view — the reference the cached path must match."""
         return _encode_routes(_canonical_order(self._routes.values()))
 
-    def snapshot(self) -> Dict[Tuple[RouteType, Prefix], Route]:
+    def snapshot(self) -> Dict[RouteKey, Route]:
         """A copy of the table (used by convergence checks)."""
         return dict(self._routes)
-
-    def type_snapshot(
-        self, route_type: RouteType
-    ) -> Dict[Tuple[RouteType, Prefix], Route]:
-        """A copy of just one type's entries.
-
-        The G-RIB delta capture runs around every decision-process
-        recompute, so it snapshots only the GROUP slice — a handful of
-        group ranges instead of the full table — keeping capture cost
-        negligible next to the recompute itself.
-        """
-        return {
-            key: route
-            for key, route in self._routes.items()
-            if key[0] is route_type
-        }

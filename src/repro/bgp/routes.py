@@ -11,7 +11,7 @@ BGMP consults to find a group's root domain.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.addressing.prefix import Prefix
 from repro.topology.domain import BorderRouter
@@ -28,6 +28,12 @@ class RouteType(str, Enum):
     UNICAST = "unicast"
     MRIB = "mrib"
     GROUP = "group"
+
+
+#: One shared (type, prefix) tuple per key. Every RIB table, session
+#: record and work list is keyed by route keys, so sharing the tuples
+#: saves one per entry.
+_KEYS: Dict[Tuple[RouteType, Prefix], Tuple[RouteType, Prefix]] = {}
 
 
 class Route:
@@ -49,6 +55,7 @@ class Route:
         "local_pref",
         "from_internal",
         "learned_from",
+        "_key",
     )
 
     def __init__(
@@ -72,6 +79,8 @@ class Route:
         #: across iBGP redistribution so export policy can be applied at
         #: every border router of the domain.
         self.learned_from = learned_from
+        key = (route_type, prefix)
+        self._key = _KEYS.setdefault(key, key)
 
     @property
     def origin_domain_id(self) -> Optional[int]:
@@ -85,20 +94,23 @@ class Route:
 
     def key(self) -> Tuple[RouteType, Prefix]:
         """The (type, prefix) pair routes are selected per."""
-        return (self.route_type, self.prefix)
+        return self._key
 
     def advertised_by(
         self,
         router: BorderRouter,
         local_pref: int = 100,
         internal: bool = False,
+        learned_from: str = "origin",
     ) -> "Route":
         """The route as received by a neighbour of ``router``.
 
         External advertisement prepends the advertiser's domain to the
-        AS path and rewrites the next hop to the advertising router;
-        internal (iBGP) redistribution keeps the AS path and points the
-        next hop at the exit router.
+        AS path, rewrites the next hop to the advertising router and
+        takes the receiver's ``local_pref`` and ``learned_from`` (its
+        relationship to the advertiser); internal (iBGP) redistribution
+        keeps the AS path and attributes and points the next hop at the
+        exit router.
         """
         if internal:
             return Route(
@@ -117,6 +129,7 @@ class Route:
             (router.domain.domain_id,) + self.as_path,
             local_pref=local_pref,
             from_internal=False,
+            learned_from=learned_from,
         )
 
     def has_loop(self, domain_id: int) -> bool:
@@ -124,16 +137,28 @@ class Route:
         return domain_id in self.as_path
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Route):
             return NotImplemented
+        # Tuple comparison tries identity before __eq__ per attribute,
+        # and prefixes and routers are mostly the very same objects.
         return (
-            self.prefix == other.prefix
-            and self.route_type == other.route_type
-            and self.next_hop == other.next_hop
-            and self.as_path == other.as_path
-            and self.local_pref == other.local_pref
-            and self.from_internal == other.from_internal
-            and self.learned_from == other.learned_from
+            self.prefix,
+            self.route_type,
+            self.next_hop,
+            self.as_path,
+            self.local_pref,
+            self.from_internal,
+            self.learned_from,
+        ) == (
+            other.prefix,
+            other.route_type,
+            other.next_hop,
+            other.as_path,
+            other.local_pref,
+            other.from_internal,
+            other.learned_from,
         )
 
     def __hash__(self) -> int:

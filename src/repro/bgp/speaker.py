@@ -5,17 +5,27 @@ routes, one Adj-RIB-In per peering session (external sessions over the
 router's inter-domain links plus an iBGP full mesh with the other
 border routers of its domain), and a Loc-RIB computed by the standard
 decision process.
+
+The decision process is prefix-scoped: every input change (an origin,
+an Adj-RIB-In write, a dropped session) records the (type, prefix) keys
+it touched, and :meth:`BgpSpeaker.recompute` re-selects only those.
+The keys whose Loc-RIB entry changed are recorded in turn, so the
+network exports only them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.addressing.prefix import Prefix
 from repro.bgp.policy import preference_for
-from repro.bgp.rib import AdjRibIn, LocRib
+from repro.bgp.rib import AdjRibIn, LocRib, RouteKey
 from repro.bgp.routes import Route, RouteType
 from repro.topology.domain import BorderRouter
+
+
+def _delta_order(item: Tuple[Prefix, str]) -> Tuple[int, int, str]:
+    return (item[0].network, item[0].length, item[1])
 
 
 class BgpSpeaker:
@@ -24,12 +34,18 @@ class BgpSpeaker:
     def __init__(self, router: BorderRouter):
         self.router = router
         self.loc_rib = LocRib()
-        self._origins: Dict[Tuple[RouteType, Prefix], Route] = {}
+        self._origins: Dict[RouteKey, Route] = {}
         self._adj_in: Dict[BorderRouter, AdjRibIn] = {}
+        #: Keys whose decision inputs changed since the last
+        #: :meth:`recompute`, and keys whose Loc-RIB entry changed
+        #: since the last :meth:`take_changed`. Insertion-ordered dicts
+        #: used as sets, so every walk over them is deterministic.
+        self._pending: Dict[RouteKey, None] = {}
+        self._changed: Dict[RouteKey, None] = {}
         #: Change listener (set by :class:`~repro.bgp.network.BgpNetwork`
-        #: to drive its dirty sets): an object with ``speaker_dirty``
-        #: and ``origins_changed`` methods, called whenever this
-        #: speaker's decision inputs mutate. ``None`` for standalone
+        #: to drive its dirty sets): an object with ``speaker_dirty``,
+        #: ``session_changed``, ``origins_changed``, ``captures_grib``
+        #: and ``grib_changed`` methods. ``None`` for standalone
         #: speakers.
         self._listener = None
 
@@ -42,11 +58,8 @@ class BgpSpeaker:
             self._listener.origins_changed(self)
 
     def _captures_grib(self) -> bool:
-        """True when the listener wants before/after Loc-RIB tables
-        around every content change (the G-RIB delta stream). Capture
-        is zero-copy on the recompute path, but the diff on change is
-        not free, so it stays gated on an actual downstream
-        consumer."""
+        """True when the listener wants the G-RIB changes of every
+        recompute (the delta stream); only then are they collected."""
         listener = self._listener
         return listener is not None and listener.captures_grib()
 
@@ -58,40 +71,99 @@ class BgpSpeaker:
     # ------------------------------------------------------------------
     # Sessions
 
-    def session_with(self, peer: BorderRouter) -> AdjRibIn:
-        """The Adj-RIB-In for ``peer``, created on first use."""
+    def holds_routes_from(self, peer: BorderRouter) -> bool:
+        """True when the Adj-RIB-In for ``peer`` is not empty."""
+        rib = self._adj_in.get(peer)
+        return rib is not None and len(rib) > 0
+
+    def update(
+        self,
+        peer: BorderRouter,
+        announced: Iterable[Route] = (),
+        withdrawn: Iterable[RouteKey] = (),
+    ) -> None:
+        """Apply one UPDATE from ``peer`` to its Adj-RIB-In.
+
+        The only way routes enter or leave an Adj-RIB-In: every key it
+        touches goes pending for the next :meth:`recompute`. An
+        external route whose AS path already holds this domain is
+        dropped by loop prevention, which withdraws whatever the peer
+        held for its key.
+        """
         rib = self._adj_in.get(peer)
         if rib is None:
-            rib = AdjRibIn(peer)
-            self._adj_in[peer] = rib
-        return rib
+            rib = self._adj_in[peer] = AdjRibIn(peer)
+        pending = self._pending
+        domain_id = self.router.domain.domain_id
+        for route in announced:
+            key = route.key()
+            if not route.from_internal and route.has_loop(domain_id):
+                rib.withdraw(*key)
+            else:
+                rib.update(route)
+            pending[key] = None
+        for key in withdrawn:
+            rib.withdraw(*key)
+            pending[key] = None
+        if self._listener is not None:
+            self._listener.session_changed(self, peer)
 
-    def peers(self) -> List[BorderRouter]:
-        """Routers this speaker has sessions with."""
-        return list(self._adj_in)
+    def receive(self, peer: BorderRouter, route: Route) -> None:
+        """Install one route into the peer's Adj-RIB-In."""
+        self.update(peer, (route,))
+
+    def replace_session_routes(
+        self, peer: BorderRouter, routes: Iterable[Route]
+    ) -> None:
+        """Wholesale replacement of a session's advertised set.
+
+        Models the steady-state effect of UPDATE messages including
+        implicit withdrawals: whatever the peer no longer advertises
+        disappears.
+        """
+        routes = list(routes)
+        rib = self._adj_in.get(peer)
+        stale: List[RouteKey] = []
+        if rib is not None:
+            kept = {route.key() for route in routes}
+            stale = [key for key in rib.keys() if key not in kept]
+        self.update(peer, routes, stale)
 
     def drop_session(self, peer: BorderRouter) -> bool:
         """Tear down the session with ``peer``: every route learned
         from it is withdrawn (the Adj-RIB-In vanishes). True when a
         session existed."""
-        if self._adj_in.pop(peer, None) is None:
+        rib = self._adj_in.pop(peer, None)
+        if rib is None:
             return False
-        self._mark_dirty()
+        self._pending.update(dict.fromkeys(rib.keys()))
+        if self._listener is not None:
+            self._listener.session_changed(self, peer)
         return True
 
     def reset(self) -> None:
         """Crash recovery model: volatile state (Adj-RIB-Ins, Loc-RIB)
         is lost; configuration (locally-originated routes) survives and
-        is re-announced on the next decision round."""
-        old = (
-            self.loc_rib.type_snapshot(RouteType.GROUP)
-            if self._captures_grib() and len(self.loc_rib)
-            else None
-        )
+        is re-announced on the next decision round. Every Loc-RIB key
+        counts as changed and every origin as pending."""
+        lost = self.loc_rib.routes()
+        if lost and self._captures_grib():
+            self._listener.grib_changed(
+                self,
+                [
+                    (route.prefix, "withdrawn")
+                    for route in lost
+                    if route.route_type is RouteType.GROUP
+                ],
+            )
+        self._changed.update(dict.fromkeys(route.key() for route in lost))
+        self._pending.update(dict.fromkeys(self._origins))
+        peers = list(self._adj_in)
         self._adj_in.clear()
         self.loc_rib.clear()
-        if old:
-            self._listener.grib_changed(self, old, {})
+        if self._listener is not None:
+            for peer in peers:
+                self._listener.session_changed(self, peer)
         self._mark_dirty()
 
     # ------------------------------------------------------------------
@@ -109,6 +181,7 @@ class BgpSpeaker:
             local_pref=preference_for("origin"),
         )
         self._origins[route.key()] = route
+        self._pending[route.key()] = None
         self._mark_dirty()
         self._mark_origins_changed()
         return route
@@ -117,8 +190,10 @@ class BgpSpeaker:
         self, prefix: Prefix, route_type: RouteType = RouteType.GROUP
     ) -> bool:
         """Stop originating a route; True if it was originated here."""
-        if self._origins.pop((route_type, prefix), None) is None:
+        key = (route_type, prefix)
+        if self._origins.pop(key, None) is None:
             return False
+        self._pending[key] = None
         self._mark_dirty()
         self._mark_origins_changed()
         return True
@@ -130,58 +205,77 @@ class BgpSpeaker:
     # ------------------------------------------------------------------
     # Decision process
 
-    def receive(self, peer: BorderRouter, route: Route) -> None:
-        """Install a route into the peer's Adj-RIB-In (loop-checked)."""
-        if not route.from_internal and route.has_loop(
-            self.domain.domain_id
-        ):
-            return
-        self.session_with(peer).update(route)
-        self._mark_dirty()
+    def mark_all_pending(self) -> None:
+        """Make the next :meth:`recompute` re-select every key the
+        speaker knows of — the full engine's per-round re-decision."""
+        pending = self._pending
+        pending.update(dict.fromkeys(self.loc_rib.snapshot()))
+        pending.update(dict.fromkeys(self._origins))
+        for rib in self._adj_in.values():
+            pending.update(dict.fromkeys(rib.keys()))
 
-    def replace_session_routes(
-        self, peer: BorderRouter, routes: List[Route]
-    ) -> None:
-        """Wholesale replacement of a session's advertised set.
-
-        Models the steady-state effect of UPDATE messages including
-        implicit withdrawals: whatever the peer no longer advertises
-        disappears.
-        """
-        rib = AdjRibIn(peer)
-        self._adj_in[peer] = rib
-        for route in routes:
-            if not route.from_internal and route.has_loop(
-                self.domain.domain_id
-            ):
-                continue
-            rib.update(route)
-        self._mark_dirty()
+    def take_changed(self) -> Dict[RouteKey, None]:
+        """The keys whose Loc-RIB entry changed since the last call
+        (the export work list), clearing the record."""
+        changed = self._changed
+        self._changed = {}
+        return changed
 
     def recompute(self) -> bool:
-        """Run the decision process; True if the Loc-RIB changed.
+        """Run the decision process over the pending keys; True if the
+        Loc-RIB changed.
 
         Selection per (type, prefix): local origin first, then highest
         local_pref, shortest AS path, eBGP over iBGP, and finally the
         lowest (domain id, router name) of the advertising router for a
-        deterministic tie-break.
+        deterministic tie-break. G-RIB changes go to the listener in
+        (prefix, kind) order.
         """
-        candidates: Dict[Tuple[RouteType, Prefix], List[Route]] = {}
-        for route in self._origins.values():
-            candidates.setdefault(route.key(), []).append(route)
-        for rib in self._adj_in.values():
-            for route in rib.routes():
-                candidates.setdefault(route.key(), []).append(route)
-        selected = {
-            key: min(routes, key=self._rank)
-            for key, routes in candidates.items()
-        }
-        if self._captures_grib():
-            old = self.loc_rib.replace_capturing(selected)
-            if old is not None:
-                self._listener.grib_changed(self, old, selected)
-            return old is not None
-        return self.loc_rib.replace(selected)
+        pending = self._pending
+        if not pending:
+            return False
+        self._pending = {}
+        loc_rib = self.loc_rib
+        origins = self._origins
+        tables = [rib.view() for rib in self._adj_in.values()]
+        rank = self._rank
+        changed = self._changed
+        grib: Optional[List[Tuple[Prefix, str]]] = (
+            [] if self._captures_grib() else None
+        )
+        any_change = False
+        for key in pending:
+            best = origins.get(key)
+            if best is None:
+                best_rank = None
+                for table in tables:
+                    route = table.get(key)
+                    if route is not None:
+                        route_rank = rank(route)
+                        if best_rank is None or route_rank < best_rank:
+                            best, best_rank = route, route_rank
+            old = loc_rib.get(*key)
+            if best is None:
+                if old is None:
+                    continue
+                loc_rib.remove(*key)
+                kind = "withdrawn"
+            elif old is None:
+                loc_rib.install(best)
+                kind = "added"
+            elif old == best:
+                continue
+            else:
+                loc_rib.install(best)
+                kind = "changed"
+            any_change = True
+            changed[key] = None
+            if grib is not None and key[0] is RouteType.GROUP:
+                grib.append((key[1], kind))
+        if grib:
+            grib.sort(key=_delta_order)
+            self._listener.grib_changed(self, grib)
+        return any_change
 
     def _rank(self, route: Route) -> Tuple:
         if route.is_local_origin:

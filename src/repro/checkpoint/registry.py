@@ -73,7 +73,10 @@ SNAPSHOT_REGISTRY: Dict[str, FrozenSet[str]] = {
         "_digest",
     }),
     # The topology identity classes reconstruct via __reduce__ (hash
-    # attributes first, remaining state second).
+    # attributes first, remaining state second). Routers and hosts
+    # cache their hash in _hash on first use; __reduce__ leaves it out
+    # so a restored object hashes afresh (str hashes are salted per
+    # process).
     "repro.topology.domain:Domain": frozenset({
         "domain_id",
         "name",
@@ -87,11 +90,13 @@ SNAPSHOT_REGISTRY: Dict[str, FrozenSet[str]] = {
     "repro.topology.domain:BorderRouter": frozenset({
         "name",
         "domain",
+        "_hash",
         "external_neighbors",
     }),
     "repro.topology.domain:Host": frozenset({
         "name",
         "domain",
+        "_hash",
     }),
     # The sanitizer's __getstate__ drops its process-local violation
     # listeners (serve-layer callbacks bound to thread primitives);

@@ -28,6 +28,23 @@ def _restore_keyed(cls: type, identity: Dict[str, object]) -> object:
     return obj
 
 
+def _cache_hash(member) -> int:
+    """Hash a router or host by its domain id and name, and cache the
+    value in ``_hash``: identity never changes, and routers key most
+    routing tables."""
+    member._hash = value = hash((member.domain.domain_id, member.name))
+    return value
+
+
+def _unhashed_state(member) -> Dict[str, object]:
+    """A router's or host's pickled state: everything but the cached
+    hash, which is left to be recomputed, because ``str`` hashing is
+    salted per process."""
+    state = dict(member.__dict__)
+    state.pop("_hash", None)
+    return state
+
+
 class DomainKind(Enum):
     """Coarse role of a domain in the provider hierarchy."""
 
@@ -178,9 +195,14 @@ class BorderRouter:
         return f"BorderRouter({self.name}@{self.domain.name})"
 
     def __hash__(self) -> int:
-        return hash((self.domain.domain_id, self.name))
+        try:
+            return self._hash
+        except AttributeError:
+            return _cache_hash(self)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, BorderRouter):
             return NotImplemented
         return self.domain == other.domain and self.name == other.name
@@ -189,7 +211,7 @@ class BorderRouter:
         return (
             _restore_keyed,
             (type(self), {"name": self.name, "domain": self.domain}),
-            self.__dict__,
+            _unhashed_state(self),
         )
 
 
@@ -204,7 +226,10 @@ class Host:
         return f"Host({self.name}@{self.domain.name})"
 
     def __hash__(self) -> int:
-        return hash((self.domain.domain_id, self.name))
+        try:
+            return self._hash
+        except AttributeError:
+            return _cache_hash(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Host):
@@ -215,5 +240,5 @@ class Host:
         return (
             _restore_keyed,
             (type(self), {"name": self.name, "domain": self.domain}),
-            self.__dict__,
+            _unhashed_state(self),
         )

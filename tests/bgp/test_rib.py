@@ -8,6 +8,7 @@ from repro.addressing.ipv4 import parse_address
 from repro.addressing.prefix import Prefix
 from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.routes import Route, RouteType
+from repro.bgp.speaker import BgpSpeaker
 from repro.checkpoint import roundtrip
 from repro.topology.domain import Domain
 
@@ -103,7 +104,8 @@ PROBES = [
 def fresh_copy(rib):
     """A LocRib rebuilt from ``rib``'s table, with cold caches."""
     copy = LocRib()
-    copy.replace(rib.snapshot())
+    for item in rib.snapshot().values():
+        copy.install(item)
     return copy
 
 
@@ -148,19 +150,37 @@ class TestLocRibCaches:
         assert_views_fresh(rib)
         assert rib.grib_lookup(PROBES[0]).prefix == P16
 
-    def test_replace_changed_invalidates(self):
+    def test_per_key_edits_invalidate(self):
         rib = warmed(route(P16), route(P24, RouteType.UNICAST))
-        table = {r.key(): r for r in (route(P8), route(P24))}
-        old = rib.replace_capturing(table)
-        assert old is not None and len(old) == 2
+        rib.install(route(P8))
+        rib.remove(RouteType.GROUP, P16)
+        rib.remove(RouteType.UNICAST, P24)
+        rib.install(route(P24))
         assert_views_fresh(rib)
         assert [r.prefix for r in rib.routes()] == [P8, P24]
 
-    def test_replace_unchanged_keeps_views(self):
+    def test_index_follows_edits_in_place(self):
         rib = warmed(route(P16), route(P24))
+        index = rib._lpm[RouteType.GROUP]
+        rib.remove(RouteType.GROUP, P24)
+        rib.install(route(P8))
+        assert rib._lpm[RouteType.GROUP] is index
+        assert_views_fresh(rib)
+        assert rib.grib_lookup(PROBES[0]).prefix == P16
+        assert rib.grib_lookup(PROBES[2]).prefix == P8
+
+    def test_unchanged_recompute_keeps_views(self):
+        home = Domain(0, name="H")
+        peer = Domain(1, name="P").router("P1")
+        speaker = BgpSpeaker(home.router("H1"))
+        speaker.receive(peer, route(P16, hop=peer))
+        speaker.receive(peer, route(P24, hop=peer))
+        assert speaker.recompute()
+        rib = speaker.loc_rib
+        assert_views_fresh(rib)
         before = rib.digest_lines()
-        equal = {r.key(): r for r in (route(P16), route(P24))}
-        assert rib.replace_capturing(equal) is None
+        speaker.receive(peer, route(P24, hop=peer))
+        assert not speaker.recompute()
         assert rib.digest_lines() is before
         assert_views_fresh(rib)
 

@@ -32,6 +32,20 @@ class TestRoute:
         assert advertised.next_hop is b1
         assert not advertised.from_internal
 
+    def test_external_advertisement_takes_receiver_attributes(self):
+        b1 = Domain(1, name="B").router("B1")
+        advertised = origin_route().advertised_by(
+            b1, 300, learned_from="customer"
+        )
+        assert advertised.local_pref == 300
+        assert advertised.learned_from == "customer"
+        assert origin_route().advertised_by(b1).learned_from == "origin"
+
+    def test_key_is_shared_between_routes_of_one_prefix(self):
+        advertised = origin_route().advertised_by(Domain(1).router("R"))
+        assert advertised.key() is origin_route().key()
+        assert origin_route().key() is not origin_route(P16).key()
+
     def test_chained_advertisement(self):
         b = Domain(1, name="B")
         a = Domain(0, name="A")

@@ -1,5 +1,10 @@
 """Tests for domains, border routers, and hosts."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.topology.domain import BorderRouter, Domain, DomainKind, Host
@@ -115,3 +120,46 @@ class TestHost:
         a = Domain(0, name="A")
         assert Host("h", a) == Host("h", a)
         assert Host("h", a) != Host("g", a)
+
+
+class TestCachedHash:
+    """Routers and hosts hash once; the cached value never rides in a
+    pickle, because ``str`` hashing is salted per process."""
+
+    @pytest.mark.parametrize("make", [
+        lambda domain: domain.router("A1"),
+        lambda domain: domain.host("h"),
+    ])
+    def test_hash_is_identity_hash_and_not_pickled(self, make):
+        member = make(Domain(3, name="A"))
+        assert hash(member) == hash((3, member.name))
+        _restore, _args, state = member.__reduce__()
+        assert "_hash" not in state
+        restored = pickle.loads(pickle.dumps(member))
+        assert hash(restored) == hash(member)
+        assert restored == member and "_hash" in vars(restored)
+
+    def test_restore_in_a_differently_salted_process(self):
+        domain = Domain(3, name="A")
+        router = domain.router("A1")
+        router.add_external_neighbor(Domain(4, name="B").router("B1"))
+        payload = pickle.dumps({"r": router})
+        probe = (
+            "import pickle, sys\n"
+            "world = pickle.loads(sys.stdin.buffer.read())\n"
+            "router = world['r']\n"
+            "peer = router.external_neighbors[0]\n"
+            "for member in (router, peer):\n"
+            "    assert hash(member) == hash((member.domain.domain_id,"
+            " member.name))\n"
+            "assert router in {router: 1} and router in "
+            "router.domain.routers.values()\n"
+        )
+        salt = "54321" if os.environ.get("PYTHONHASHSEED") == "12345" \
+            else "12345"
+        env = dict(os.environ, PYTHONHASHSEED=salt)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        subprocess.run(
+            [sys.executable, "-c", probe], input=payload, env=env,
+            check=True,
+        )
